@@ -23,7 +23,6 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/kernel_select.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/quantize.hpp"
 #include "tensor/tensor.hpp"
@@ -69,15 +68,15 @@ double geomean(const std::vector<double>& xs) {
 // ----------------------------------------------------- skinny served shapes
 // The shapes serving actually runs: batch M x small-hidden (N, K) dense
 // forwards, where the Goto blocking was never the design point. Measured
-// single-thread against the per-shape KernelSelector's pick (ROADMAP item 5;
-// int8 picks include the activation-quantize pass, i.e. true served cost).
+// single-thread: the int8 kernel a quantized layer serves (including its
+// activation-quantize pass, i.e. true served cost) against the fp64 path
+// every other layer serves.
 
 struct SkinnyResult {
   std::size_t m = 0, n = 0, k = 0;
-  double fast_seconds = 0.0;      // fp32 blocked path
-  double selected_seconds = 0.0;  // KernelSelector's pick
-  ops::KernelChoice choice = ops::KernelChoice::kFp32Fast;
-  [[nodiscard]] double speedup() const { return fast_seconds / selected_seconds; }
+  double fp64_seconds = 0.0;  // blocked fp64 path (ops::detail::gemm)
+  double int8_seconds = 0.0;  // quantize + quant::i8_gemm
+  [[nodiscard]] double speedup() const { return fp64_seconds / int8_seconds; }
 };
 
 /// Best per-call seconds of `fn` with enough inner iterations to make each
@@ -109,7 +108,7 @@ SkinnyResult run_skinny(std::size_t m, std::size_t n, std::size_t k, std::size_t
   r.k = k;
   const std::size_t flops = 2 * m * n * k;
 
-  r.fast_seconds = best_of_calls(
+  r.fp64_seconds = best_of_calls(
       [&] {
         ops::detail::gemm(false, false, m, n, k, a.data(), w.data(), c.data(),
                           bias.data(), ops::EpilogueAct::None);
@@ -117,49 +116,25 @@ SkinnyResult run_skinny(std::size_t m, std::size_t n, std::size_t k, std::size_t
       },
       flops, reps);
 
-  r.choice = ops::KernelSelector::instance().choose(m, n, k, /*allow_int8=*/true);
-  if (ops::kernel_is_int8(r.choice)) {
-    const quant::QuantParams aq = quant::params_from_range(-1.0, 1.0);
-    const quant::QuantParams wq = quant::params_symmetric(1.0);
-    std::vector<std::int16_t> a16(m * k), w16(k * n), wt16(n * k);
-    quant::quantize(w, wq, w16.data());
-    for (std::size_t p = 0; p < k; ++p) {
-      for (std::size_t j = 0; j < n; ++j) wt16[j * k + p] = w16[p * n + j];
-    }
-    std::vector<std::int32_t> colsum(n, 0);
-    for (std::size_t j = 0; j < n; ++j) {
-      for (std::size_t p = 0; p < k; ++p) colsum[j] += wt16[j * k + p];
-    }
-    const auto kind = r.choice == ops::KernelChoice::kInt8Row ? quant::Int8Kernel::Row
-                                                              : quant::Int8Kernel::Dot;
-    r.selected_seconds = best_of_calls(
-        [&] {
-          quant::quantize(a, aq, a16.data());  // served cost includes this pass
-          quant::i8_gemm(kind, m, n, k, a16.data(), wt16.data(), w16.data(),
-                         colsum.data(), aq, wq, bias.data(), ops::EpilogueAct::None,
-                         c.data());
-          g_sink = c[0];
-        },
-        flops, reps);
-  } else if (r.choice == ops::KernelChoice::kFp32Naive) {
-    r.selected_seconds = best_of_calls(
-        [&] {
-          for (std::size_t i = 0; i < m; ++i) {
-            double* crow = c.data() + i * n;
-            for (std::size_t j = 0; j < n; ++j) crow[j] = bias[j];
-            const double* arow = a.data() + i * k;
-            for (std::size_t p = 0; p < k; ++p) {
-              const double av = arow[p];
-              const double* wrow = w.data() + p * n;
-              for (std::size_t j = 0; j < n; ++j) crow[j] += av * wrow[j];
-            }
-          }
-          g_sink = c[0];
-        },
-        flops, reps);
-  } else {
-    r.selected_seconds = r.fast_seconds;
+  const quant::QuantParams aq = quant::params_from_range(-1.0, 1.0);
+  const quant::QuantParams wq = quant::params_symmetric(1.0);
+  std::vector<std::int16_t> a16(m * k), w16(k * n), wt16(n * k);
+  quant::quantize(w, wq, w16.data());
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t j = 0; j < n; ++j) wt16[j * k + p] = w16[p * n + j];
   }
+  std::vector<std::int32_t> colsum(n, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t p = 0; p < k; ++p) colsum[j] += wt16[j * k + p];
+  }
+  r.int8_seconds = best_of_calls(
+      [&] {
+        quant::quantize(a, aq, a16.data());  // served cost includes this pass
+        quant::i8_gemm(m, n, k, a16.data(), wt16.data(), colsum.data(), aq, wq,
+                       bias.data(), ops::EpilogueAct::None, c.data());
+        g_sink = c[0];
+      },
+      flops, reps);
   return r;
 }
 
@@ -219,8 +194,7 @@ int main() {
             << "geomean speedup all-T:   " << TextTable::num(geo_mt, 2)
             << "x (target >= " << TextTable::num(target_mt, 1) << "x)\n";
 
-  // Skinny served-shape suite: single-thread, per-shape selector vs the
-  // blocked fp32 path it would otherwise always take.
+  // Skinny served-shape suite: single-thread, int8 vs fp64 per shape.
   omp_set_num_threads(1);
   ops::set_gemm_impl(ops::GemmImpl::Fast);
   const std::vector<std::size_t> skinny_m{1, 8, 32, 128};
@@ -232,21 +206,19 @@ int main() {
   }
   omp_set_num_threads(max_threads);
 
-  TextTable skinny_table({"M", "N", "K", "fp32-fast (s)", "selected (s)",
-                          "kernel", "speedup"});
+  TextTable skinny_table({"M", "N", "K", "fp64 (s)", "int8 (s)", "speedup"});
   std::vector<double> skinny_sp;
   for (const SkinnyResult& r : skinny) {
     skinny_sp.push_back(r.speedup());
     skinny_table.add_row({std::to_string(r.m), std::to_string(r.n), std::to_string(r.k),
-                          TextTable::num(r.fast_seconds, 4),
-                          TextTable::num(r.selected_seconds, 4),
-                          ops::kernel_choice_name(r.choice),
+                          TextTable::num(r.fp64_seconds, 4),
+                          TextTable::num(r.int8_seconds, 4),
                           TextTable::num(r.speedup(), 2) + "x"});
   }
-  std::cout << "\nskinny served shapes (single thread, selector vs fp32 fast):\n"
+  std::cout << "\nskinny served shapes (single thread, int8 vs fp64):\n"
             << skinny_table.render() << "\n";
   const double skinny_geo = geomean(skinny_sp);
-  const double skinny_target = 1.0;  // selector must never lose to always-fast
+  const double skinny_target = 1.0;  // int8 must not lose to fp64 on served shapes
   std::cout << "geomean speedup skinny:  " << TextTable::num(skinny_geo, 2)
             << "x (target >= " << TextTable::num(skinny_target, 2) << "x)\n";
 
@@ -269,9 +241,8 @@ int main() {
   for (std::size_t i = 0; i < skinny.size(); ++i) {
     const SkinnyResult& r = skinny[i];
     json << "    {\"m\": " << r.m << ", \"n\": " << r.n << ", \"k\": " << r.k
-         << ", \"fast_seconds\": " << r.fast_seconds
-         << ", \"selected_seconds\": " << r.selected_seconds << ", \"kernel\": \""
-         << ops::kernel_choice_name(r.choice) << "\", \"speedup\": " << r.speedup()
+         << ", \"fp64_seconds\": " << r.fp64_seconds
+         << ", \"int8_seconds\": " << r.int8_seconds << ", \"speedup\": " << r.speedup()
          << "}" << (i + 1 < skinny.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"geomean_speedup_1t\": " << geo_1t

@@ -5,12 +5,12 @@
 //
 // Phase A — per-app throughput + QoI: for every application, train a modest
 // MLP surrogate on exact region outputs, quantize a copy (percentile
-// calibration on the training inputs, per-shape kernel selection), and
-// measure single-thread batched predict throughput of the fp32 fast path vs
-// the int8 path on held-out problems. QoI is the application's own
-// qoi_error against the exact region outputs — "QoI met" means the
-// quantized model's mean QoI error stays within 1.25x of the fp32
-// surrogate's (or under the paper's 10% quality bound outright). Gated:
+// calibration on the training inputs), and measure single-thread batched
+// predict throughput of the fp64 path vs the int8 path on held-out
+// problems. QoI is the application's own qoi_error against the exact region
+// outputs — "QoI met" means the quantized model's mean QoI error stays
+// within 1.25x of the fp64 surrogate's (or under the paper's 10% quality
+// bound outright). Gated:
 // >= kMinWinningApps apps must show >= kSpeedupTarget speedup with QoI met.
 //
 // Phase B — rollout: a quantized candidate built by quantized_servable()
@@ -52,7 +52,7 @@ namespace {
 
 using namespace ahn;
 
-constexpr double kSpeedupTarget = 2.0;  ///< int8 vs fp32 fast path, 1 thread
+constexpr double kSpeedupTarget = 2.0;  ///< int8 vs fp64 path, 1 thread
 constexpr std::size_t kMinWinningApps = 3;
 constexpr double kQualityBound = 0.10;  ///< paper's default QoI loss bound
 constexpr std::size_t kServeBatch = 64;
@@ -60,13 +60,13 @@ constexpr std::size_t kServeBatch = 64;
 struct AppResult {
   std::string name;
   std::size_t in = 0, out = 0;
-  double fp32_rows_per_s = 0.0;
+  double fp64_rows_per_s = 0.0;
   double int8_rows_per_s = 0.0;
   double speedup = 0.0;
-  double fp32_qoi = 0.0;
+  double fp64_qoi = 0.0;
   double int8_qoi = 0.0;
   bool qoi_ok = false;
-  std::string kernels;  ///< per-layer selected kernels, e.g. "int8_dot,int8_dot"
+  std::string kernels;  ///< per-dense-layer precision, e.g. "int8,int8,int8"
 };
 
 /// Best-of-`reps` wall time of `sweeps` batched predict passes over `x`.
@@ -82,13 +82,13 @@ double time_predict(Fn&& predict_all, std::size_t sweeps, int reps) {
   return best;
 }
 
-std::string layer_kernels(const nn::Network& net) {
+std::string layer_precisions(const nn::Network& net) {
   std::string s;
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
     const auto* d = dynamic_cast<const nn::DenseLayer*>(&net.layer(i));
-    if (d == nullptr || !d->has_quantized()) continue;
+    if (d == nullptr) continue;
     if (!s.empty()) s += ",";
-    s += ops::kernel_choice_name(d->quantized()->kernel);
+    s += nn::precision_name(d->precision());
   }
   return s;
 }
@@ -123,18 +123,17 @@ AppResult run_app(const std::string& name) {
   spec.hidden_units = 64;
   nn::TrainOptions topts;
   topts.epochs = bench::scaled(60, 25);
-  nn::TrainedSurrogate fp32 = nn::train_surrogate(
+  nn::TrainedSurrogate fp64 = nn::train_surrogate(
       nn::build_surrogate(spec, app->input_dim(), app->output_dim(), rng), data, topts);
 
-  nn::TrainedSurrogate int8 = fp32;  // deep copy: Network assignment clones layers
-  nn::QuantizationOptions qopts;    // percentile calibration + live kernel probe
-  nn::quantize_surrogate(int8, data.x, qopts);
+  nn::TrainedSurrogate int8 = fp64;  // deep copy: Network assignment clones layers
+  nn::quantize_surrogate(int8, data.x);  // percentile calibration
 
   AppResult r;
   r.name = name;
   r.in = app->input_dim();
   r.out = app->output_dim();
-  r.kernels = layer_kernels(int8.net);
+  r.kernels = layer_precisions(int8.net);
 
   // Single-thread throughput over the held-out rows in serving-sized
   // batches; enough sweeps that each measurement covers >= 512 rows.
@@ -149,26 +148,26 @@ AppResult run_app(const std::string& name) {
       (void)sink;
     }
   };
-  const double t_fp32 = time_predict([&] { sweep(fp32); }, sweeps, 3);
+  const double t_fp64 = time_predict([&] { sweep(fp64); }, sweeps, 3);
   const double t_int8 = time_predict([&] { sweep(int8); }, sweeps, 3);
   const double rows_total = static_cast<double>(eval_n * sweeps);
-  r.fp32_rows_per_s = rows_total / t_fp32;
+  r.fp64_rows_per_s = rows_total / t_fp64;
   r.int8_rows_per_s = rows_total / t_int8;
-  r.speedup = t_fp32 / t_int8;
+  r.speedup = t_fp64 / t_int8;
 
   // Mean application QoI error vs the exact region, per precision.
-  const Tensor p_fp32 = fp32.predict(eval_x);
+  const Tensor p_fp64 = fp64.predict(eval_x);
   const Tensor p_int8 = int8.predict(eval_x);
-  double e_fp32 = 0.0, e_int8 = 0.0;
+  double e_fp64 = 0.0, e_int8 = 0.0;
   for (std::size_t i = 0; i < eval_n; ++i) {
-    const auto row32 = p_fp32.row(i);
+    const auto row64 = p_fp64.row(i);
     const auto row8 = p_int8.row(i);
-    e_fp32 += app->qoi_error(train_n + i, exact[i], {row32.begin(), row32.end()});
+    e_fp64 += app->qoi_error(train_n + i, exact[i], {row64.begin(), row64.end()});
     e_int8 += app->qoi_error(train_n + i, exact[i], {row8.begin(), row8.end()});
   }
-  r.fp32_qoi = e_fp32 / static_cast<double>(eval_n);
+  r.fp64_qoi = e_fp64 / static_cast<double>(eval_n);
   r.int8_qoi = e_int8 / static_cast<double>(eval_n);
-  r.qoi_ok = r.int8_qoi <= std::max(kQualityBound, 1.25 * r.fp32_qoi);
+  r.qoi_ok = r.int8_qoi <= std::max(kQualityBound, 1.25 * r.fp64_qoi);
   return r;
 }
 
@@ -295,20 +294,20 @@ int main() {
   omp_set_num_threads(1);  // the gate is a single-thread throughput claim
 #endif
 
-  // --- Phase A: per-app quantized vs fp32. ---------------------------------
+  // --- Phase A: per-app quantized vs fp64. ---------------------------------
   std::vector<AppResult> results;
-  TextTable table({"app", "in->out", "fp32 rows/s", "int8 rows/s", "speedup",
-                   "fp32 QoI", "int8 QoI", "QoI met", "kernels"});
+  TextTable table({"app", "in->out", "fp64 rows/s", "int8 rows/s", "speedup",
+                   "fp64 QoI", "int8 QoI", "QoI met", "kernels"});
   std::size_t wins = 0;
   for (const std::string& name : apps::application_names()) {
     AppResult r = run_app(name);
     const bool win = r.speedup >= kSpeedupTarget && r.qoi_ok;
     wins += win ? 1 : 0;
     table.add_row({r.name, std::to_string(r.in) + "->" + std::to_string(r.out),
-                   TextTable::num(r.fp32_rows_per_s, 0),
+                   TextTable::num(r.fp64_rows_per_s, 0),
                    TextTable::num(r.int8_rows_per_s, 0),
                    TextTable::num(r.speedup, 2) + "x",
-                   TextTable::num(r.fp32_qoi, 4), TextTable::num(r.int8_qoi, 4),
+                   TextTable::num(r.fp64_qoi, 4), TextTable::num(r.int8_qoi, 4),
                    r.qoi_ok ? "yes" : "NO", r.kernels});
     std::cout << "  [" << r.name << "] int8 " << TextTable::num(r.speedup, 2)
               << "x, QoI " << (r.qoi_ok ? "met" : "MISSED") << "\n"
@@ -351,7 +350,7 @@ int main() {
   std::cout << "clean quantized candidate: " << promote.state << ", served "
             << promote.served << ", lost " << promote.lost << ", breaker trips "
             << promote.breaker_trips << ", active v" << promote.active_version
-            << (promote.active_int8 ? " (int8)" : " (fp32)") << "\n";
+            << (promote.active_int8 ? " (int8)" : " (fp64)") << "\n";
   const bool promote_ok = promote.state == "promoted" && promote.lost == 0 &&
                           promote.breaker_trips == 0 && promote.active_version == 2 &&
                           promote.active_int8;
@@ -365,7 +364,7 @@ int main() {
   for (std::size_t i = 0; i < bad->surrogate.net.layer_count(); ++i) {
     if (auto* d = dynamic_cast<nn::DenseLayer*>(&bad->surrogate.net.layer(i))) {
       d->set_quantized(nn::build_quantized_dense(
-          d->weights(), quant::QuantParams{1000.0, 0}, nn::QuantizationOptions{}));
+          d->weights(), quant::QuantParams{1000.0, 0}));
     }
   }
   const RolloutOutcome rollback = drive_rollout(guard, bad, "mis-calibrated", rng);
@@ -385,10 +384,10 @@ int main() {
     for (std::size_t i = 0; i < results.size(); ++i) {
       const AppResult& r = results[i];
       json << "    {\"app\": \"" << r.name << "\", \"speedup\": "
-           << TextTable::num(r.speedup, 3) << ", \"fp32_rows_per_s\": "
-           << TextTable::num(r.fp32_rows_per_s, 1) << ", \"int8_rows_per_s\": "
-           << TextTable::num(r.int8_rows_per_s, 1) << ", \"fp32_qoi\": "
-           << TextTable::num(r.fp32_qoi, 6) << ", \"int8_qoi\": "
+           << TextTable::num(r.speedup, 3) << ", \"fp64_rows_per_s\": "
+           << TextTable::num(r.fp64_rows_per_s, 1) << ", \"int8_rows_per_s\": "
+           << TextTable::num(r.int8_rows_per_s, 1) << ", \"fp64_qoi\": "
+           << TextTable::num(r.fp64_qoi, 6) << ", \"int8_qoi\": "
            << TextTable::num(r.int8_qoi, 6) << ", \"qoi_met\": "
            << (r.qoi_ok ? "true" : "false") << ", \"kernels\": \"" << r.kernels
            << "\"}" << (i + 1 < results.size() ? "," : "") << "\n";

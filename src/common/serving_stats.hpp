@@ -10,19 +10,15 @@
 // Built on the obs metrics registry (docs/OBSERVABILITY.md): scalar tallies
 // are lock-free obs::Counters and per-phase latencies land in fixed-bucket
 // obs::LatencyHistograms, so memory stays constant under sustained serving
-// and a percentile read never stalls a recording thread. The raw per-phase
-// sample vectors of the original implementation survive only behind the
-// opt-in set_exact_samples(true) debug mode.
+// and a percentile read never stalls a recording thread.
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
 
+#include "common/error.hpp"
 #include "common/log.hpp"
-#include "common/stats.hpp"
 #include "obs/metrics.hpp"
 
 namespace ahn {
@@ -63,8 +59,7 @@ struct ServingStatsSnapshot {
 /// Serving-side metrics collector. Every member is safe to call from any
 /// client, pool, or flusher thread. Recording is lock-free for the hot path
 /// (request counters + latency histograms); only the keyed maps (fault
-/// kinds, breaker transitions, batch sizes) and the optional exact-sample
-/// vectors take a mutex. Each counter/histogram read is untorn, but a
+/// kinds, breaker transitions, batch sizes) take a mutex. Each counter/histogram read is untorn, but a
 /// snapshot taken while recorders run may straddle concurrent updates by a
 /// request or two — the price of never blocking the serving path.
 class ServingStats {
@@ -94,16 +89,6 @@ class ServingStats {
     return registry_;
   }
 
-  /// Debug mode: additionally keep every raw per-phase sample (unbounded
-  /// memory!) so latency_percentile is exact instead of bucket-resolution.
-  /// Off by default; intended for tests and short diagnostic runs.
-  void set_exact_samples(bool on) {
-    exact_samples_.store(on, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool exact_samples() const noexcept {
-    return exact_samples_.load(std::memory_order_relaxed);
-  }
-
   /// Records one served request and its per-phase modeled latency. A
   /// nonzero `trace_id` stamps an exemplar on each histogram bucket the
   /// request lands in, linking scraped latency buckets to captured traces.
@@ -114,14 +99,6 @@ class ServingStats {
     load_hist_.record(phases.load, trace_id);
     run_hist_.record(phases.run, trace_id);
     total_hist_.record(phases.total(), trace_id);
-    if (exact_samples()) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      fetch_.push_back(phases.fetch);
-      encode_.push_back(phases.encode);
-      load_.push_back(phases.load);
-      run_.push_back(phases.run);
-      total_.push_back(phases.total());
-    }
   }
 
   /// Records one executed batch of `size` coalesced requests (size >= 1).
@@ -192,20 +169,8 @@ class ServingStats {
   /// Latency percentile (p in [0, 100]) for one phase: "fetch", "encode",
   /// "load", "run" or "total". Returns 0 when no requests were recorded.
   /// Reads the fixed-bucket histogram (bucket-resolution, lock-free with
-  /// respect to recorders); in exact-samples debug mode it copies the raw
-  /// samples out under the lock and sorts the copy outside it, so even the
-  /// exact path never holds the collector mutex through an O(n log n) sort.
+  /// respect to recorders).
   [[nodiscard]] double latency_percentile(const std::string& phase, double p) const {
-    if (exact_samples()) {
-      std::vector<double> samples;
-      {
-        const std::lock_guard<std::mutex> lock(mu_);
-        const std::vector<double>* exact = exact_phase_samples(phase);
-        AHN_CHECK_MSG(exact != nullptr, "unknown serving phase '" << phase << "'");
-        samples = *exact;  // copy out; sort happens outside the lock
-      }
-      return samples.empty() ? 0.0 : percentile(std::move(samples), p);
-    }
     const obs::LatencyHistogram* hist = phase_histogram(phase);
     AHN_CHECK_MSG(hist != nullptr, "unknown serving phase '" << phase << "'");
     return hist->percentile(p);
@@ -242,11 +207,6 @@ class ServingStats {
     fault_kinds_.clear();
     breaker_transitions_.clear();
     histogram_.clear();
-    fetch_.clear();
-    encode_.clear();
-    load_.clear();
-    run_.clear();
-    total_.clear();
   }
 
  private:
@@ -257,16 +217,6 @@ class ServingStats {
     if (phase == "load") return &load_hist_;
     if (phase == "run") return &run_hist_;
     if (phase == "total") return &total_hist_;
-    return nullptr;
-  }
-
-  [[nodiscard]] const std::vector<double>* exact_phase_samples(
-      const std::string& phase) const {
-    if (phase == "fetch") return &fetch_;
-    if (phase == "encode") return &encode_;
-    if (phase == "load") return &load_;
-    if (phase == "run") return &run_;
-    if (phase == "total") return &total_;
     return nullptr;
   }
 
@@ -285,13 +235,10 @@ class ServingStats {
   obs::LatencyHistogram& run_hist_;
   obs::LatencyHistogram& total_hist_;
 
-  std::atomic<bool> exact_samples_{false};
-
   mutable std::mutex mu_;
   std::map<std::string, std::uint64_t> fault_kinds_;
   std::map<std::string, std::uint64_t> breaker_transitions_;
   std::map<std::size_t, std::uint64_t> histogram_;
-  std::vector<double> fetch_, encode_, load_, run_, total_;  ///< exact mode only
 };
 
 }  // namespace ahn

@@ -35,7 +35,7 @@ PipelineModel evaluate_candidate(const SearchTask& task, const nn::TopologySpec&
   if (!task.search_precision) return pm;
 
   // Precision axis: calibrate the trained candidate to int8 and re-measure
-  // both objectives. The encoder stays fp32 (it is shared across candidates
+  // both objectives. The encoder stays fp64 (it is shared across candidates
   // and not a dense-layer stack), so only the surrogate's share is re-priced
   // at the int8 rate. Train-once / evaluate-twice keeps the axis nearly
   // free relative to a second training run.
@@ -66,7 +66,7 @@ make_precision_train_fn(nn::TrainOptions train, nn::QuantizationOptions quant,
   return [train, quant, quality_bound](const nn::TrainedSurrogate& active,
                                        const nn::Dataset& data) {
     // Warm-start fine-tune, exactly like the Retrainer's built-in trainer
-    // (train_surrogate forces the copy back to fp32 before the first step).
+    // (train_surrogate forces the copy back to fp64 before the first step).
     nn::TrainedSurrogate cand = nn::train_surrogate(active.net, data, train);
 
     nn::TrainedSurrogate quantized = cand;
@@ -74,7 +74,7 @@ make_precision_train_fn(nn::TrainOptions train, nn::QuantizationOptions quant,
     const double fp_err = nn::mean_relative_error(cand.predict(data.x), data.y);
     const double q_err = nn::mean_relative_error(quantized.predict(data.x), data.y);
     // Serve int8 when it holds the bound — or degrades the fine-tuned model
-    // by under 10% relative when even fp32 misses the bound.
+    // by under 10% relative when even fp64 misses the bound.
     if (q_err <= quality_bound || q_err <= fp_err * 1.1) return quantized;
     return cand;
   };

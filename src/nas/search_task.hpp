@@ -34,7 +34,7 @@ struct PipelineModel {
   /// runs with search_precision on, evaluate_candidate also prices the int8
   /// variant of each trained candidate and keeps the better mode — so
   /// (K, theta, precision) are optimized jointly under the same objective.
-  nn::Precision precision = nn::Precision::kFp32;
+  nn::Precision precision = nn::Precision::kFp64;
 
   /// End-to-end prediction for one problem's full-width features.
   [[nodiscard]] std::vector<double> infer(std::span<const double> features) const;
@@ -58,7 +58,7 @@ struct SearchTask {
 
   /// When true, every trained candidate is additionally calibrated to int8
   /// (on the reduced training inputs) and re-priced; the cheaper feasible
-  /// mode wins. Training itself always runs fp32 — precision is a
+  /// mode wins. Training itself always runs fp64 — precision is a
   /// post-training execution axis, so it adds one calibration pass and one
   /// quality evaluation per candidate, not a second training run.
   bool search_precision = false;

@@ -63,7 +63,7 @@ struct SearchStep {
   /// Execution mode the candidate was accepted at (kInt8 only when the task
   /// runs with search_precision). Not serialized in checkpoints — a resumed
   /// search re-derives it when it re-evaluates.
-  nn::Precision precision = nn::Precision::kFp32;
+  nn::Precision precision = nn::Precision::kFp64;
 };
 
 struct NasResult {

@@ -24,9 +24,9 @@ namespace ahn::nn {
 
 struct QuantizedDense;  // nn/quantization.hpp
 
-/// Numeric execution mode for inference. Training always runs fp32; a layer
+/// Numeric execution mode for inference. Training always runs fp64; a layer
 /// switched to kInt8 serves through its calibrated QuantizedDense payload.
-enum class Precision : std::uint8_t { kFp32 = 0, kInt8 };
+enum class Precision : std::uint8_t { kFp64 = 0, kInt8 };
 
 [[nodiscard]] const char* precision_name(Precision p) noexcept;
 
@@ -135,12 +135,12 @@ class DenseLayer final : public Layer {
  private:
   /// Any mutable weight access invalidates a calibrated payload: int8 codes
   /// quantized from the old weights must never serve the new ones. A layer
-  /// that was serving kInt8 falls back to fp32 until re-calibrated.
+  /// that was serving kInt8 falls back to fp64 until re-calibrated.
   void note_weights_mutated() noexcept {
     ++weights_gen_;
     if (quant_ != nullptr) {
       quant_.reset();
-      if (precision_ == Precision::kInt8) precision_ = Precision::kFp32;
+      if (precision_ == Precision::kInt8) precision_ = Precision::kFp64;
     }
   }
 
@@ -148,7 +148,7 @@ class DenseLayer final : public Layer {
   Tensor w_, b_, gw_, gb_;
   Tensor x_cache_;
   std::shared_ptr<const QuantizedDense> quant_;
-  Precision precision_ = Precision::kFp32;
+  Precision precision_ = Precision::kFp64;
   std::uint64_t weights_gen_ = 0;
 };
 

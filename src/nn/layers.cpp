@@ -11,7 +11,7 @@ namespace ahn::nn {
 
 const char* precision_name(Precision p) noexcept {
   switch (p) {
-    case Precision::kFp32: return "fp32";
+    case Precision::kFp64: return "fp64";
     case Precision::kInt8: return "int8";
   }
   return "?";
@@ -63,21 +63,17 @@ DenseLayer::DenseLayer(std::size_t in, std::size_t out, Rng& rng)
 
 Tensor DenseLayer::forward(const Tensor& x, bool training) {
   AHN_CHECK_MSG(x.cols() == in_, "dense: got " << x.cols() << " features, want " << in_);
-  if (!training && precision_ == Precision::kInt8 &&
-      ops::kernel_is_int8(quant_->kernel)) {
-    // Quantized serving path: static calibrated activation params + a kernel
-    // choice resolved at install time, so each output row is a pure function
-    // of its input row — bitwise identical at any batch size.
+  if (!training && precision_ == Precision::kInt8) {
+    // Quantized serving path: static calibrated activation params and one
+    // kernel, so each output row is a pure function of its input row —
+    // bitwise identical at any batch size and in every process.
     const std::size_t m = x.rows();
     std::vector<std::int16_t> x16(m * in_);
     quant::quantize(x.flat(), quant_->in_q, x16.data());
     Tensor y({m, out_});
-    const auto kind = quant_->kernel == ops::KernelChoice::kInt8Row
-                          ? quant::Int8Kernel::Row
-                          : quant::Int8Kernel::Dot;
-    quant::i8_gemm(kind, m, out_, in_, x16.data(), quant_->wt16.data(),
-                   quant_->w16.data(), quant_->wt_colsum.data(), quant_->in_q,
-                   quant_->w_q, b_.data(), ops::EpilogueAct::None, y.flat().data());
+    quant::i8_gemm(m, out_, in_, x16.data(), quant_->wt16.data(),
+                   quant_->wt_colsum.data(), quant_->in_q, quant_->w_q, b_.data(),
+                   ops::EpilogueAct::None, y.flat().data());
     FlopCounter::instance().add(
         {/*flops=*/2ULL * m * out_ * in_ + m * (in_ + out_),
          /*bytes_read=*/m * in_ * (sizeof(double) + sizeof(std::int16_t)) +
@@ -86,7 +82,7 @@ Tensor DenseLayer::forward(const Tensor& x, bool training) {
     return y;
   }
   AHN_CHECK_MSG(!(training && precision_ == Precision::kInt8),
-                "int8 layers cannot train; set_precision(kFp32) first");
+                "int8 layers cannot train; set_precision(kFp64) first");
   if (training) x_cache_ = x;
   // Bias fused into the GEMM write-back; activation stays a separate layer.
   return ops::matmul_epilogue(x, w_, &b_, ops::EpilogueAct::None);
@@ -119,8 +115,7 @@ Tensor DenseLayer::backward(const Tensor& grad_out) {
 OpCounts DenseLayer::inference_cost(std::size_t batch) const {
   OpCounts c;
   c.flops = 2ULL * batch * in_ * out_ + batch * out_;
-  if (precision_ == Precision::kInt8 && quant_ != nullptr &&
-      ops::kernel_is_int8(quant_->kernel)) {
+  if (precision_ == Precision::kInt8) {
     // Quantize pass over the input, then 2-byte weight/activation streams
     // (int8-valued codes in int16 storage; see tensor/quantize.hpp).
     c.flops += batch * in_;
@@ -139,7 +134,7 @@ std::string DenseLayer::describe() const {
   std::ostringstream os;
   os << "dense(" << in_ << "->" << out_ << ")";
   if (precision_ == Precision::kInt8) {
-    os << "[int8/" << ops::kernel_choice_name(quant_->kernel) << "]";
+    os << "[int8]";
   }
   return os.str();
 }

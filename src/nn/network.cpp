@@ -258,7 +258,7 @@ Precision Network::precision() const noexcept {
     const auto* d = dynamic_cast<const DenseLayer*>(layer.get());
     if (d != nullptr && d->precision() == Precision::kInt8) return Precision::kInt8;
   }
-  return Precision::kFp32;
+  return Precision::kFp64;
 }
 
 std::string Network::describe() const {

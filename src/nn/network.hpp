@@ -84,7 +84,7 @@ class Network {
 
   /// Switches every dense layer holding a quantized payload to `p`; returns
   /// how many layers switched. kInt8 is a no-op for layers never calibrated
-  /// (they keep serving fp32 — a partially-quantized net is still valid).
+  /// (they keep serving fp64 — a partially-quantized net is still valid).
   std::size_t set_precision(Precision p);
 
   /// kInt8 iff at least one dense layer currently serves int8.

@@ -5,8 +5,7 @@
 namespace ahn::nn {
 
 std::shared_ptr<const QuantizedDense> build_quantized_dense(
-    const Tensor& weights, const quant::QuantParams& in_q,
-    const QuantizationOptions& opts) {
+    const Tensor& weights, const quant::QuantParams& in_q) {
   const std::size_t in = weights.rows(), out = weights.cols();
   auto q = std::make_shared<QuantizedDense>();
   q->in = in;
@@ -17,11 +16,11 @@ std::shared_ptr<const QuantizedDense> build_quantized_dense(
   for (const double v : weights.flat()) max_abs = std::max(max_abs, std::abs(v));
   q->w_q = quant::params_symmetric(max_abs);
 
-  q->w16.resize(in * out);
-  quant::quantize(weights.flat(), q->w_q, q->w16.data());
+  std::vector<std::int16_t> w16(in * out);
+  quant::quantize(weights.flat(), q->w_q, w16.data());
   q->wt16.resize(out * in);
   for (std::size_t p = 0; p < in; ++p) {
-    for (std::size_t j = 0; j < out; ++j) q->wt16[j * in + p] = q->w16[p * out + j];
+    for (std::size_t j = 0; j < out; ++j) q->wt16[j * in + p] = w16[p * out + j];
   }
   q->wt_colsum.assign(out, 0);
   for (std::size_t j = 0; j < out; ++j) {
@@ -29,29 +28,17 @@ std::shared_ptr<const QuantizedDense> build_quantized_dense(
     for (std::size_t p = 0; p < in; ++p) sum += q->wt16[j * in + p];
     q->wt_colsum[j] = sum;
   }
-
-  // Resolve the serving kernel once, at a fixed batch-independent reference
-  // shape (kProbeBatch, out, in). The reference batch matches the
-  // throughput-critical serving regime (batched predict) rather than m=1;
-  // what matters for determinism is that the choice is made HERE, once —
-  // the serving forward never re-probes, so the actual batch size cannot
-  // steer the kernel (and with it the numerics).
-  constexpr std::size_t kProbeBatch = 32;
-  q->kernel = opts.probe_kernels
-                  ? ops::KernelSelector::instance().choose(kProbeBatch, out, in,
-                                                           /*allow_int8=*/true)
-                  : ops::KernelChoice::kInt8Dot;
   return q;
 }
 
 std::size_t quantize_network(Network& net, const Tensor& inputs,
                              const QuantizationOptions& opts) {
   AHN_CHECK_MSG(!inputs.empty() && inputs.rank() == 2, "calibration inputs must be a batch");
-  // Calibration must see fp32 activations even when re-quantizing a network
+  // Calibration must see fp64 activations even when re-quantizing a network
   // that already serves int8.
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
     if (auto* d = dynamic_cast<DenseLayer*>(&net.layer(i))) {
-      d->set_precision(Precision::kFp32);
+      d->set_precision(Precision::kFp64);
     }
   }
   std::size_t quantized = 0;
@@ -61,11 +48,11 @@ std::size_t quantize_network(Network& net, const Tensor& inputs,
     if (auto* d = dynamic_cast<DenseLayer*>(&layer)) {
       quant::Calibrator calib;
       calib.observe(x);
-      d->set_quantized(build_quantized_dense(d->weights(), calib.params(opts.calib), opts));
+      d->set_quantized(build_quantized_dense(d->weights(), calib.params(opts.calib)));
       ++quantized;
-      // The quantized layer is installed but the walk continues in fp32 so
+      // The quantized layer is installed but the walk continues in fp64 so
       // downstream calibrators see un-degraded activations.
-      d->set_precision(Precision::kFp32);
+      d->set_precision(Precision::kFp64);
     }
     x = layer.forward(x, /*training=*/false);
   }

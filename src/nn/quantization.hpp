@@ -9,10 +9,10 @@
 //  * activation parameters are static (calibrated once, never derived from
 //    the batch being served) — a row's quantized codes are independent of
 //    its batch-mates, preserving the batched == per-row bitwise guarantee;
-//  * each layer's kernel choice is resolved once here, probing a fixed
-//    serving-representative reference shape (32, out, in); serving never
-//    re-probes, so batch size cannot steer numerics (see
-//    tensor/kernel_select.hpp).
+//  * every installed layer serves quant::i8_gemm and nothing else, so a
+//    quantized model computes the same bits in every process. Which layers
+//    are quantized is the caller's choice (QuantizeSpec, or the NAS
+//    precision axis), never a timing measurement.
 
 #include <cstdint>
 #include <memory>
@@ -20,33 +20,24 @@
 
 #include "nn/network.hpp"
 #include "nn/train.hpp"
-#include "tensor/kernel_select.hpp"
 #include "tensor/quantize.hpp"
 
 namespace ahn::nn {
 
 /// Immutable calibrated int8 payload for one DenseLayer. Codes are
 /// int8-valued but stored widened to int16, the format the vectorized
-/// kernels consume (see tensor/quantize.hpp). Both weight layouts are
-/// materialized so whichever kernel the selector resolved streams its
-/// preferred one; the duplicate pair costs 4*in*out bytes — half of the
-/// fp64 weights it replaces, and the layout actually served stays 4x
-/// smaller.
+/// kernel consumes (see tensor/quantize.hpp): 2*in*out bytes, a quarter of
+/// the fp64 weights they replace.
 struct QuantizedDense {
   std::size_t in = 0, out = 0;
   quant::QuantParams in_q;           ///< calibrated activation params
   quant::QuantParams w_q;            ///< symmetric weight params (zp == 0)
-  std::vector<std::int16_t> w16;     ///< (in x out) row-major, Row layout
-  std::vector<std::int16_t> wt16;    ///< (out x in) row-major, Dot layout
+  std::vector<std::int16_t> wt16;    ///< (out x in) row-major, transposed
   std::vector<std::int32_t> wt_colsum;  ///< per-output weight sums (zp fixup)
-  ops::KernelChoice kernel = ops::KernelChoice::kFp32Fast;  ///< resolved once
 };
 
 struct QuantizationOptions {
   quant::CalibOptions calib;  ///< activation calibration (percentile default)
-  /// When false the selector probe is skipped and every layer serves the
-  /// int8 Dot kernel — used by tests that need probe-free determinism.
-  bool probe_kernels = true;
   /// Opt-in: park the calibration batch (and these options) on the Network
   /// so load_weights can automatically re-quantize for the new weights.
   /// Costs keeping the batch alive — default off.
@@ -55,7 +46,7 @@ struct QuantizationOptions {
 
 /// Builds the payload for one dense layer given its calibrated input params.
 [[nodiscard]] std::shared_ptr<const QuantizedDense> build_quantized_dense(
-    const Tensor& weights, const quant::QuantParams& in_q, const QuantizationOptions& opts);
+    const Tensor& weights, const quant::QuantParams& in_q);
 
 /// Calibrates on `inputs` (batch x in_features, already in the network's
 /// input domain — normalize first for a TrainedSurrogate), installs payloads

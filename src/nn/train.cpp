@@ -123,10 +123,10 @@ Tensor TrainedSurrogate::predict_rows(std::span<const Tensor> rows) const {
 TrainedSurrogate train_surrogate(Network net, const Dataset& data,
                                  const TrainOptions& opts) {
   AHN_CHECK(data.size() >= 2);
-  // Training always runs on the fp32 master weights; a warm-start copy of a
-  // quantized serving net must drop to fp32 here (its int8 payload is stale
+  // Training always runs on the fp64 master weights; a warm-start copy of a
+  // quantized serving net must drop to fp64 here (its int8 payload is stale
   // after the first step — re-quantize after training to serve int8 again).
-  net.set_precision(Precision::kFp32);
+  net.set_precision(Precision::kFp64);
   const obs::Span span(obs::Tracer::global(), "nn.train_surrogate");
   Rng rng(opts.seed);
   auto [train, val] = data.split(opts.train_ratio, rng);

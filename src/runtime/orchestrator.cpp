@@ -505,27 +505,37 @@ Status Orchestrator::run_model_admitted(const std::string& name,
   if (!input.has_value()) {
     return Status(StatusCode::kNotFound, "no tensor at key '" + in_key + "'");
   }
-  const std::size_t rows = input->rank() == 2 ? input->rows() : 0;
+  if (input->rank() == 1) input->reshape({1, input->size()});
 
   RequestPhases batch_phases;
-  Result<Tensor> out = execute_with_retry(*m, *input, &batch_phases);
-  if (!out.is_ok()) return out.status();
-
+  BatchingQueue::RowResults results = serve_batch(name, *m, *input, {}, &batch_phases);
+  stats_.record_batch(results.size());
+  for (const Result<Tensor>& r : results) {
+    if (!r.is_ok()) return r.status();
+  }
   if (phases != nullptr) {
     phases->add("fetch", batch_phases.fetch);
     phases->add("encode", batch_phases.encode);
     phases->add("load", batch_phases.load);
     phases->add("run", batch_phases.run);
   }
-  stats_.record_batch(rows);
-  record_requests(batch_phases, rows);
-  if (opts_.monitor.enabled && rows > 0) {
-    // Sampled drift observation for the keyed-store path (no per-row QoI
-    // here). Lock-free for unsampled rows — see obs/monitor.hpp.
-    obs::ModelMonitor& mon = monitor(name);
-    for (std::size_t r = 0; r < rows; ++r) mon.observe_input(input->row(r));
+  if (results.size() == 1) {
+    put_tensor(out_key, std::move(results.front().value()));
+    return Status::ok();
   }
-  put_tensor(out_key, std::move(out.value()));
+  // Reassemble the per-row results (surrogate, candidate or fallback rows).
+  const std::size_t cols = results.empty() ? 0 : results.front().value().size();
+  Tensor out({results.size(), cols});
+  for (std::size_t r = 0; r < results.size(); ++r) {
+    const auto row = results[r].value().flat();
+    if (row.size() != cols) {
+      return Status(StatusCode::kInternal, "row " + std::to_string(r) + " has " +
+                                               std::to_string(row.size()) +
+                                               " outputs, want " + std::to_string(cols));
+    }
+    std::copy(row.begin(), row.end(), out.row(r).begin());
+  }
+  put_tensor(out_key, std::move(out));
   return Status::ok();
 }
 
@@ -693,6 +703,54 @@ BatchingQueue::RowResults Orchestrator::finalize_batch(
   return results;
 }
 
+BatchingQueue::RowResults Orchestrator::fail_rows(const std::string& name,
+                                                  std::size_t rows,
+                                                  const Status& status) {
+  // A batch-wide failure is `rows` availability bad events.
+  for (std::size_t r = 0; r < rows; ++r) {
+    slo_->record(name, 0.0, /*ok=*/false, /*qoi_fallback=*/false);
+  }
+  return BatchingQueue::RowResults(rows, Result<Tensor>(status));
+}
+
+BatchingQueue::RowResults Orchestrator::serve_batch(
+    const std::string& name, const ServableModel& m, const Tensor& batch,
+    const std::vector<obs::SpanContext>& contexts, RequestPhases* batch_phases) {
+  const std::size_t rows = batch.rows();
+  RequestPhases phases;
+  Result<Tensor> out = execute_with_retry(m, batch, &phases);
+  if (!out.is_ok()) return fail_rows(name, rows, out.status());
+  record_requests(phases, rows, contexts);
+  if (batch_phases != nullptr) *batch_phases = phases;
+
+  // Live rollout for this model: run the candidate's duplicate forward over
+  // the same batch (no stats, no fault injection — the shadow must not
+  // perturb the serving measurements it is judged against).
+  const std::shared_ptr<ActiveRollout> ro = find_rollout(name);
+  Tensor cand_out;
+  bool have_candidate = false;
+  if (ro != nullptr) {
+    const RolloutState st = ro->ctl.poll();
+    if (st == RolloutState::kShadow || st == RolloutState::kCanary) {
+      std::optional<obs::Span> shadow_span;
+      if (obs::Tracer::current().trace_id != 0) {
+        shadow_span.emplace(*tracer_, "serve.shadow_infer");
+      }
+      const ServableModel& cand = *ro->candidate;
+      cand_out = cand.encode ? cand.surrogate.predict(cand.encode(batch))
+                             : cand.surrogate.predict(batch);
+      have_candidate = cand_out.rows() == rows;
+    }
+  }
+  const double per_row_seconds =
+      rows > 0 ? phases.total() / static_cast<double>(rows) : 0.0;
+  BatchingQueue::RowResults results = finalize_batch(
+      name, m, batch, out.value(), have_candidate ? ro.get() : nullptr,
+      have_candidate ? &cand_out : nullptr, contexts, per_row_seconds);
+  if (ro != nullptr) maybe_conclude_rollout(name, *ro);
+  return results;
+}
+
 void Orchestrator::flush_batches() {
   // Only started queues can hold pending rows; don't spawn one just to drain.
   if (batches_ != nullptr) batches_->flush();
@@ -733,56 +791,13 @@ BatchingQueue& Orchestrator::batches() {
           if (obs::Tracer::current().trace_id != 0) {
             span.emplace(*tracer_, "serve.batch");
           }
-          const std::size_t rows = batch.rows();
-          const auto fail_rows = [&](const Status& status) {
-            // A batch-wide failure is `rows` availability bad events.
-            for (std::size_t r = 0; r < rows; ++r) {
-              slo_->record(model_name, 0.0, /*ok=*/false, /*qoi_fallback=*/false);
-            }
-            return BatchingQueue::RowResults(rows, Result<Tensor>(status));
-          };
           const std::shared_ptr<const ServableModel> m = find_model(model_name);
           if (m == nullptr) {
-            return fail_rows(Status(StatusCode::kModelUnavailable,
+            return fail_rows(model_name, batch.rows(),
+                             Status(StatusCode::kModelUnavailable,
                                     "no model named '" + model_name + "'"));
           }
-          RequestPhases batch_phases;
-          Result<Tensor> out = execute_with_retry(*m, batch, &batch_phases);
-          if (!out.is_ok()) {
-            return fail_rows(out.status());
-          }
-          record_requests(batch_phases, rows, contexts);
-
-          // Live rollout for this model: run the candidate's duplicate
-          // forward over the same batch (no stats, no fault injection — the
-          // shadow must not perturb the serving measurements it is judged
-          // against).
-          const std::shared_ptr<ActiveRollout> ro = find_rollout(model_name);
-          Tensor cand_out;
-          bool have_candidate = false;
-          if (ro != nullptr) {
-            const RolloutState st = ro->ctl.poll();
-            if (st == RolloutState::kShadow || st == RolloutState::kCanary) {
-              std::optional<obs::Span> shadow_span;
-              if (obs::Tracer::current().trace_id != 0) {
-                shadow_span.emplace(*tracer_, "serve.shadow_infer");
-              }
-              const ServableModel& cand = *ro->candidate;
-              cand_out = cand.encode ? cand.surrogate.predict(cand.encode(batch))
-                                     : cand.surrogate.predict(batch);
-              have_candidate = cand_out.rows() == rows;
-            }
-          }
-          const double per_row_seconds =
-              rows > 0 ? (batch_phases.fetch + batch_phases.encode +
-                          batch_phases.load + batch_phases.run) /
-                             static_cast<double>(rows)
-                       : 0.0;
-          BatchingQueue::RowResults results = finalize_batch(
-              model_name, *m, batch, out.value(), have_candidate ? ro.get() : nullptr,
-              have_candidate ? &cand_out : nullptr, contexts, per_row_seconds);
-          if (ro != nullptr) maybe_conclude_rollout(model_name, *ro);
-          return results;
+          return serve_batch(model_name, *m, batch, contexts, /*batch_phases=*/nullptr);
         },
         bopts, &stats_, tracer_);
   });

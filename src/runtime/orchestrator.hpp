@@ -248,8 +248,11 @@ class Orchestrator : public RolloutHost {
   /// Runs `name` on the tensor at `in_key`, storing the result at `out_key`.
   /// Wall time of each online phase is modeled with the device model and
   /// accumulated into `phases` when provided (the §7.3 breakdown:
-  /// "fetch" / "encode" / "load" / "run"). Returns kModelUnavailable /
-  /// kNotFound / kTransientFailure / kShuttingDown instead of throwing.
+  /// "fetch" / "encode" / "load" / "run"). Every row passes the same QoI
+  /// guard as run_model_batched: a rejected row is replaced by the model's
+  /// fallback output, or the call returns kQoIRejected without one. Returns
+  /// kModelUnavailable / kNotFound / kTransientFailure / kQoIRejected /
+  /// kShuttingDown instead of throwing.
   [[nodiscard]] Status run_model(const std::string& name, const std::string& in_key,
                                  const std::string& out_key,
                                  PhaseAccumulator* phases = nullptr);
@@ -338,7 +341,9 @@ class Orchestrator : public RolloutHost {
 
   /// run_model() past the admission (draining) check — the body shared by
   /// the sync path and already-accepted async tasks, so a drain that starts
-  /// after acceptance cannot strand in-flight work.
+  /// after acceptance cannot strand in-flight work. Serves the stored
+  /// tensor as one batch through serve_batch, so keyed-store requests get
+  /// the same QoI guard, fallback and rollout scoring as batched ones.
   [[nodiscard]] Status run_model_admitted(const std::string& name,
                                           const std::string& in_key,
                                           const std::string& out_key,
@@ -390,6 +395,21 @@ class Orchestrator : public RolloutHost {
   /// Retires the live rollout entry for `name` (terminal snapshot kept for
   /// rollout_progress; rollout_state gauge updated).
   void clear_rollout(const std::string& name, const ActiveRollout& ro);
+
+  /// One batch end to end, shared by the batching queue's executor and the
+  /// keyed-store run_model paths: execute (with retries), per-request stats,
+  /// the live rollout's duplicate forward, then finalize_batch. A failed
+  /// execute resolves every row to its status. `batch_phases` (may be null)
+  /// receives the batch's modeled phase seconds.
+  [[nodiscard]] BatchingQueue::RowResults serve_batch(
+      const std::string& name, const ServableModel& m, const Tensor& batch,
+      const std::vector<obs::SpanContext>& contexts, RequestPhases* batch_phases);
+
+  /// Resolves all `rows` of a batch to `status`, recording each as an SLO
+  /// availability miss.
+  [[nodiscard]] BatchingQueue::RowResults fail_rows(const std::string& name,
+                                                    std::size_t rows,
+                                                    const Status& status);
 
   /// Per-row QoI check + fallback + breaker outcome for one executed batch.
   /// With a live rollout, `ro`/`cand_out` carry the candidate's duplicate

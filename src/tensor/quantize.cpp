@@ -7,10 +7,6 @@
 
 #include "common/error.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace ahn::quant {
 
 namespace {
@@ -225,14 +221,10 @@ QuantParams Calibrator::params(const CalibOptions& opts) const {
 
 namespace {
 
-// Shared dequant + bias + activation epilogue over one output row; `acc[j]`
-// is the exact int32 dot of quantized operands for output (i, j). Row-wise
-// (instead of per-element) so the dequant multiply-add vectorizes. noinline
-// is load-bearing: with -O3 -march=native the compiler contracts the
-// mul+add into an FMA differently per inline site, and the two kernel
-// variants must stay bitwise identical — one out-of-line instance
-// guarantees one instruction sequence for both.
-__attribute__((noinline)) void finish_row(const std::int32_t* acc,
+// Dequant + bias + activation epilogue over one output row; `acc[j]` is the
+// exact int32 dot of quantized operands for output (i, j). Row-wise (instead
+// of per-element) so the dequant multiply-add vectorizes.
+void finish_row(const std::int32_t* acc,
                                           const std::int32_t* colsum, std::int32_t za,
                                           double combined_scale, const double* bias,
                                           ops::EpilogueAct act, std::size_t n,
@@ -265,59 +257,20 @@ __attribute__((noinline)) void finish_row(const std::int32_t* acc,
 
 }  // namespace
 
-void i8_gemm(Int8Kernel kind, std::size_t m, std::size_t n, std::size_t k,
-             const std::int16_t* a16, const std::int16_t* wt16, const std::int16_t* w16,
-             const std::int32_t* wt_colsum, const QuantParams& aq,
-             const QuantParams& wq, const double* bias, ops::EpilogueAct act,
-             double* out) noexcept {
+void i8_gemm(std::size_t m, std::size_t n, std::size_t k, const std::int16_t* a16,
+             const std::int16_t* wt16, const std::int32_t* wt_colsum,
+             const QuantParams& aq, const QuantParams& wq, const double* bias,
+             ops::EpilogueAct act, double* out) noexcept {
   AHN_CHECK(wq.zero_point == 0);
   AHN_CHECK(k < (1u << 17));  // 127*127*k must fit int32
   const double combined = aq.scale * wq.scale;
   const std::int32_t za = aq.zero_point;
 
-  if (kind == Int8Kernel::Dot) {
-    // Each output is one contiguous k-length dot against a transposed weight
-    // row. Two outputs share one pass over the activation row, and the
-    // int16 x int16 -> int32 body vectorizes to widening multiply-adds.
-    // Integer sums are exact, so neither the pairing nor the SIMD
-    // reassociation can change the result.
-#pragma omp parallel if (m > 1)
-    {
-      std::vector<std::int32_t> acc(n);
-#pragma omp for schedule(static)
-      for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(m); ++ii) {
-        const auto i = static_cast<std::size_t>(ii);
-        const std::int16_t* arow = a16 + i * k;
-        std::size_t j = 0;
-        for (; j + 2 <= n; j += 2) {
-          const std::int16_t* w0 = wt16 + j * k;
-          const std::int16_t* w1 = w0 + k;
-          std::int32_t acc0 = 0, acc1 = 0;
-          for (std::size_t p = 0; p < k; ++p) {
-            const std::int32_t av = arow[p];
-            acc0 += av * w0[p];
-            acc1 += av * w1[p];
-          }
-          acc[j] = acc0;
-          acc[j + 1] = acc1;
-        }
-        for (; j < n; ++j) {
-          const std::int16_t* wrow = wt16 + j * k;
-          std::int32_t s = 0;
-          for (std::size_t p = 0; p < k; ++p) {
-            s += static_cast<std::int32_t>(arow[p]) * wrow[p];
-          }
-          acc[j] = s;
-        }
-        finish_row(acc.data(), wt_colsum, za, combined, bias, act, n, out + i * n);
-      }
-    }
-    return;
-  }
-
-  // Row variant: accumulate a_ip * w[p, :] into an int32 row buffer — the
-  // same access pattern as gemm_small, streaming each (k x n) weight row
-  // once per input element.
+  // Each output is one contiguous k-length dot against a transposed weight
+  // row. Two outputs share one pass over the activation row, and the
+  // int16 x int16 -> int32 body vectorizes to widening multiply-adds.
+  // Integer sums are exact, so neither the pairing nor the SIMD
+  // reassociation can change the result.
 #pragma omp parallel if (m > 1)
   {
     std::vector<std::int32_t> acc(n);
@@ -325,14 +278,26 @@ void i8_gemm(Int8Kernel kind, std::size_t m, std::size_t n, std::size_t k,
     for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(m); ++ii) {
       const auto i = static_cast<std::size_t>(ii);
       const std::int16_t* arow = a16 + i * k;
-      std::fill(acc.begin(), acc.end(), 0);
-      for (std::size_t p = 0; p < k; ++p) {
-        const std::int32_t a = arow[p];
-        if (a == 0) continue;  // exact: a zero factor contributes nothing
-        const std::int16_t* wrow = w16 + p * n;
-        for (std::size_t j = 0; j < n; ++j) {
-          acc[j] += a * static_cast<std::int32_t>(wrow[j]);
+      std::size_t j = 0;
+      for (; j + 2 <= n; j += 2) {
+        const std::int16_t* w0 = wt16 + j * k;
+        const std::int16_t* w1 = w0 + k;
+        std::int32_t acc0 = 0, acc1 = 0;
+        for (std::size_t p = 0; p < k; ++p) {
+          const std::int32_t av = arow[p];
+          acc0 += av * w0[p];
+          acc1 += av * w1[p];
         }
+        acc[j] = acc0;
+        acc[j + 1] = acc1;
+      }
+      for (; j < n; ++j) {
+        const std::int16_t* wrow = wt16 + j * k;
+        std::int32_t s = 0;
+        for (std::size_t p = 0; p < k; ++p) {
+          s += static_cast<std::int32_t>(arow[p]) * wrow[p];
+        }
+        acc[j] = s;
       }
       finish_row(acc.data(), wt_colsum, za, combined, bias, act, n, out + i * n);
     }

@@ -15,10 +15,10 @@
 //    with the identity parameters {scale 1, zero_point 0} instead of a zero
 //    scale — no division by zero, no NaN, round(x) within clamp range;
 //  * the int8 GEMM accumulates exactly in int32 (integer addition is
-//    associative), so every kernel variant and every thread schedule
-//    produces bitwise-identical outputs, and row i of a batched product
-//    equals the same row quantized and multiplied alone. The serving
-//    runtime's batched == per-row guarantee therefore survives quantization.
+//    associative), so every thread schedule and SIMD grouping produces
+//    bitwise-identical outputs, and row i of a batched product equals the
+//    same row quantized and multiplied alone. The serving runtime's
+//    batched == per-row guarantee therefore survives quantization.
 
 #include <algorithm>
 #include <cmath>
@@ -70,8 +70,7 @@ inline constexpr std::int32_t kQmax = 127;
 }
 
 /// Vectorized quantize of a flat buffer. The int16 overload emits the same
-/// int8-valued codes widened to int16 — the storage format the GEMM kernels
-/// consume (see Int8Kernel below).
+/// int8-valued codes widened to int16 — the storage format i8_gemm consumes.
 void quantize(std::span<const double> in, const QuantParams& q, std::int8_t* out) noexcept;
 void quantize(std::span<const double> in, const QuantParams& q, std::int16_t* out) noexcept;
 
@@ -124,32 +123,24 @@ class Calibrator {
 
 // ------------------------------------------------------------- Int8 kernels
 
-/// Int8 kernel variants. Operands are int8-VALUED codes stored widened to
-/// int16: a 16-bit lane lets the compiler auto-vectorize the widening
-/// multiply-accumulate (pmaddwd-style), which is 3-8x faster than the
-/// scalar int8 loops it replaces while costing only 2 bytes/weight (still
-/// a 4x reduction over the fp64 fast path). Both variants compute the
-/// identical int32 accumulation (the per-shape selector picks purely on
-/// speed, never on numerics):
-///  * Dot — per-output dot products over the transposed (n x k) weight
-///    layout; contiguous streams for both operands, best for small n.
-///  * Row — gemm_small-style row accumulation over the (k x n) layout; one
-///    pass per input element over an int32 output row, best for wide n.
-enum class Int8Kernel { Dot, Row };
-
-/// out = act(aq.scale * wq.scale * (sum_p a16[i,p] * w16[j,p]
+/// The int8 GEMM: per-output dot products over the transposed (n x k)
+/// weight layout, so both operands stream contiguously. Operands are
+/// int8-VALUED codes stored widened to int16: a 16-bit lane lets the
+/// compiler auto-vectorize the widening multiply-accumulate (pmaddwd-style),
+/// which is 3-8x faster than scalar int8 loops while costing only 2
+/// bytes/weight (still a 4x reduction over the fp64 weights).
+///
+/// out = act(aq.scale * wq.scale * (sum_p a16[i,p] * wt16[j,p]
 ///             - aq.zero_point * wt_colsum[j]) + bias[j])
 ///
 /// a16:       (m x k) row-major quantized activations (params aq).
-/// wt16:      (n x k) row-major — transposed quantized weights (Dot layout).
-/// w16:       (k x n) row-major quantized weights (Row layout).
+/// wt16:      (n x k) row-major — transposed quantized weights.
 /// wt_colsum: length n, sum_p of the quantized weight column (exact int32).
 /// Weights must be symmetric (wq.zero_point == 0). bias (length n, real
 /// domain) may be null. Requires k * 16384 to fit int32 (k < 2^17).
-void i8_gemm(Int8Kernel kind, std::size_t m, std::size_t n, std::size_t k,
-             const std::int16_t* a16, const std::int16_t* wt16, const std::int16_t* w16,
-             const std::int32_t* wt_colsum, const QuantParams& aq,
-             const QuantParams& wq, const double* bias, ops::EpilogueAct act,
-             double* out) noexcept;
+void i8_gemm(std::size_t m, std::size_t n, std::size_t k, const std::int16_t* a16,
+             const std::int16_t* wt16, const std::int32_t* wt_colsum,
+             const QuantParams& aq, const QuantParams& wq, const double* bias,
+             ops::EpilogueAct act, double* out) noexcept;
 
 }  // namespace ahn::quant

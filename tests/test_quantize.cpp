@@ -1,9 +1,10 @@
 // Tests for the calibrated int8 inference path (docs/PERFORMANCE.md —
 // "Calibrated int8 inference"): quantize/dequantize round-trip bounds, the
 // zero-range identity guard, calibrator determinism across runs and OpenMP
-// thread counts, per-shape kernel-selector cache behaviour, bitwise batch
-// invariance of quantized serving, precision switching, the NAS precision
-// axis, and quantized candidates riding the shadow/canary rollout.
+// thread counts, the int8 GEMM against a scalar reference, bitwise batch
+// invariance and cross-install reproducibility of quantized serving,
+// precision switching, the NAS precision axis, and quantized candidates
+// riding the shadow/canary rollout.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #ifdef _OPENMP
@@ -25,7 +27,6 @@
 #include "runtime/deployment.hpp"
 #include "runtime/orchestrator.hpp"
 #include "runtime/rollout.hpp"
-#include "tensor/kernel_select.hpp"
 #include "tensor/quantize.hpp"
 
 namespace ahn {
@@ -83,10 +84,8 @@ TEST(QuantParams, AllZeroWeightLayerServesFiniteZeros) {
   Rng rng(3);
   nn::DenseLayer layer(6, 4, rng);
   layer.mutable_weights().fill(0.0);
-  nn::QuantizationOptions opts;
-  opts.probe_kernels = false;  // force the int8 kernel path
-  layer.set_quantized(nn::build_quantized_dense(
-      layer.weights(), quant::params_from_range(-1.0, 1.0), opts));
+  layer.set_quantized(
+      nn::build_quantized_dense(layer.weights(), quant::params_from_range(-1.0, 1.0)));
   Tensor x({2, 6});
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = 0.3;
   const Tensor y = layer.forward(x, /*training=*/false);
@@ -172,18 +171,16 @@ TEST(Calibrator, QuantizedNetworkIdenticalAcrossThreadCounts) {
     spec.hidden_units = 16;
     return nn::build_surrogate(spec, 12, 3, rng);
   };
-  nn::QuantizationOptions opts;
-  opts.probe_kernels = false;  // probe timing is allowed to vary; params are not
 
   const int saved = omp_get_max_threads();
   omp_set_num_threads(1);
   nn::Network net1 = build();
-  nn::quantize_network(net1, calib, opts);
+  nn::quantize_network(net1, calib);
   const Tensor out1 = net1.predict(probe);
 
   omp_set_num_threads(4);
   nn::Network net4 = build();
-  nn::quantize_network(net4, calib, opts);
+  nn::quantize_network(net4, calib);
   const Tensor out4 = net4.predict(probe);
   omp_set_num_threads(saved);
 
@@ -194,63 +191,43 @@ TEST(Calibrator, QuantizedNetworkIdenticalAcrossThreadCounts) {
 #endif
 }
 
-// ---------------------------------------------------------- KernelSelector
+// ------------------------------------------------------------ Int8 GEMM
 
-TEST(KernelSelector, CachesProbesAndCountsHits) {
-  auto& sel = ops::KernelSelector::instance();
-  sel.clear();
-  sel.set_probe_reps(1);
-  const ops::KernelChoice first = sel.choose(4, 8, 16, true);
-  EXPECT_EQ(sel.probes(), 1u);
-  EXPECT_EQ(sel.hits(), 0u);
-  EXPECT_EQ(sel.cache_size(), 1u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(sel.choose(4, 8, 16, true), first);  // cached answer is stable
-  }
-  EXPECT_EQ(sel.probes(), 1u);
-  EXPECT_EQ(sel.hits(), 5u);
-  sel.choose(4, 8, 16, false);  // int8 eligibility is part of the key
-  EXPECT_EQ(sel.probes(), 2u);
-  EXPECT_EQ(sel.cache_size(), 2u);
-  sel.clear();
-  EXPECT_EQ(sel.cache_size(), 0u);
-  EXPECT_EQ(sel.probes(), 0u);
-}
-
-TEST(KernelSelector, Fp32OnlyWhenInt8Disallowed) {
-  auto& sel = ops::KernelSelector::instance();
-  sel.clear();
-  sel.set_probe_reps(1);
-  const ops::KernelChoice c = sel.choose(8, 8, 8, false);
-  EXPECT_FALSE(ops::kernel_is_int8(c));
-}
-
-// Both int8 kernel variants compute the identical int32 accumulation.
-TEST(Int8Gemm, DotAndRowVariantsBitwiseEqual) {
+// i8_gemm against a plain scalar loop of its documented formula. The scales
+// are powers of two and the bias is dyadic, so every dequantized value is
+// exact and the comparison is bitwise however the epilogue's multiply-add
+// is contracted: any difference is an accumulation error.
+TEST(Int8Gemm, MatchesScalarReference) {
   Rng rng(31);
   const std::size_t m = 5, n = 7, k = 23;
-  std::vector<double> a(m * k), w(k * n), bias(n);
+  const quant::QuantParams aq{1.0 / 64.0, 3};
+  const quant::QuantParams wq{1.0 / 128.0, 0};
+  std::vector<double> a(m * k), w(n * k), bias(n);
   for (auto& v : a) v = rng.uniform(-2.0, 2.0);
   for (auto& v : w) v = rng.uniform(-1.0, 1.0);
-  for (auto& v : bias) v = rng.uniform(-0.5, 0.5);
-  const quant::QuantParams aq = quant::params_from_range(-2.0, 2.0);
-  const quant::QuantParams wq = quant::params_symmetric(1.0);
-  std::vector<std::int16_t> a16(m * k), w16(k * n), wt16(n * k);
+  for (auto& v : bias) v = std::round(rng.uniform(-0.5, 0.5) * 64.0) / 64.0;
+  std::vector<std::int16_t> a16(m * k), wt16(n * k);
   quant::quantize(a, aq, a16.data());
-  quant::quantize(w, wq, w16.data());
-  for (std::size_t p = 0; p < k; ++p) {
-    for (std::size_t j = 0; j < n; ++j) wt16[j * k + p] = w16[p * n + j];
-  }
+  quant::quantize(w, wq, wt16.data());
   std::vector<std::int32_t> colsum(n, 0);
   for (std::size_t j = 0; j < n; ++j) {
     for (std::size_t p = 0; p < k; ++p) colsum[j] += wt16[j * k + p];
   }
-  std::vector<double> dot(m * n), row(m * n);
-  quant::i8_gemm(quant::Int8Kernel::Dot, m, n, k, a16.data(), wt16.data(), w16.data(),
-                 colsum.data(), aq, wq, bias.data(), ops::EpilogueAct::Relu, dot.data());
-  quant::i8_gemm(quant::Int8Kernel::Row, m, n, k, a16.data(), wt16.data(), w16.data(),
-                 colsum.data(), aq, wq, bias.data(), ops::EpilogueAct::Relu, row.data());
-  EXPECT_EQ(std::memcmp(dot.data(), row.data(), dot.size() * sizeof(double)), 0);
+  std::vector<double> got(m * n), want(m * n);
+  quant::i8_gemm(m, n, k, a16.data(), wt16.data(), colsum.data(), aq, wq, bias.data(),
+                 ops::EpilogueAct::Relu, got.data());
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      std::int64_t dot = 0;
+      for (std::size_t p = 0; p < k; ++p) {
+        dot += static_cast<std::int64_t>(a16[i * k + p]) * wt16[j * k + p];
+      }
+      const std::int64_t centered = dot - std::int64_t{aq.zero_point} * colsum[j];
+      const double v = aq.scale * wq.scale * static_cast<double>(centered) + bias[j];
+      want[i * n + j] = v > 0.0 ? v : 0.0;
+    }
+  }
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0);
 }
 
 // ------------------------------------------------- Quantized dense serving
@@ -275,9 +252,7 @@ TEST(QuantizedNetwork, CloseToFp32OnCalibratedDomain) {
   const Tensor calib = gaussian_batch(128, 10, 42);
   const Tensor x = gaussian_batch(32, 10, 43);
   const Tensor fp = net.predict(x);
-  nn::QuantizationOptions opts;
-  opts.probe_kernels = false;
-  EXPECT_EQ(nn::quantize_network(net, calib, opts), 3u);  // 2 hidden + 1 out
+  EXPECT_EQ(nn::quantize_network(net, calib), 3u);  // 2 hidden + 1 out
   const Tensor q = net.predict(x);
   double num = 0.0, den = 0.0;
   for (std::size_t i = 0; i < fp.size(); ++i) {
@@ -290,9 +265,7 @@ TEST(QuantizedNetwork, CloseToFp32OnCalibratedDomain) {
 // Quantized batched serving must equal quantized per-row inference bitwise.
 TEST(QuantizedNetwork, BitwiseStableAcrossBatchSizes) {
   nn::Network net = small_net(47);
-  nn::QuantizationOptions opts;
-  opts.probe_kernels = false;
-  nn::quantize_network(net, gaussian_batch(96, 10, 48), opts);
+  nn::quantize_network(net, gaussian_batch(96, 10, 48));
 
   const Tensor batch = gaussian_batch(32, 10, 49);
   const Tensor full = net.predict(batch);
@@ -308,19 +281,37 @@ TEST(QuantizedNetwork, BitwiseStableAcrossBatchSizes) {
   }
 }
 
+// Default options: every dense layer serves int8, and the served bits depend
+// only on the weights and the calibration batch — two independent installs
+// agree exactly.
+TEST(QuantizedNetwork, DefaultOptionsServeInt8Reproducibly) {
+  const Tensor calib = gaussian_batch(64, 10, 50);
+  nn::Network a = small_net(51);
+  nn::Network b = small_net(51);
+  EXPECT_EQ(nn::quantize_network(a, calib), 3u);
+  EXPECT_EQ(nn::quantize_network(b, calib), 3u);
+  for (std::size_t i = 0; i < a.layer_count(); ++i) {
+    if (dynamic_cast<const nn::DenseLayer*>(&a.layer(i)) == nullptr) continue;
+    EXPECT_NE(a.layer(i).describe().find("[int8]"), std::string::npos)
+        << a.layer(i).describe();
+  }
+  const Tensor x = gaussian_batch(32, 10, 52);
+  const Tensor ya = a.predict(x);
+  const Tensor yb = b.predict(x);
+  EXPECT_EQ(std::memcmp(ya.data(), yb.data(), ya.size() * sizeof(double)), 0);
+}
+
 TEST(QuantizedNetwork, PrecisionSwitchRoundTrips) {
   nn::Network net = small_net(53);
   const Tensor x = gaussian_batch(8, 10, 54);
   const Tensor fp_before = net.predict(x);
-  EXPECT_EQ(net.precision(), nn::Precision::kFp32);
+  EXPECT_EQ(net.precision(), nn::Precision::kFp64);
 
-  nn::QuantizationOptions opts;
-  opts.probe_kernels = false;
-  nn::quantize_network(net, gaussian_batch(64, 10, 55), opts);
+  nn::quantize_network(net, gaussian_batch(64, 10, 55));
   EXPECT_EQ(net.precision(), nn::Precision::kInt8);
   const Tensor q1 = net.predict(x);
 
-  EXPECT_GT(net.set_precision(nn::Precision::kFp32), 0u);
+  EXPECT_GT(net.set_precision(nn::Precision::kFp64), 0u);
   const Tensor fp_after = net.predict(x);
   EXPECT_EQ(std::memcmp(fp_before.data(), fp_after.data(),
                         fp_before.size() * sizeof(double)),
@@ -333,9 +324,7 @@ TEST(QuantizedNetwork, PrecisionSwitchRoundTrips) {
 
 TEST(QuantizedNetwork, CopyCarriesQuantizedPayload) {
   nn::Network net = small_net(59);
-  nn::QuantizationOptions opts;
-  opts.probe_kernels = false;
-  nn::quantize_network(net, gaussian_batch(64, 10, 60), opts);
+  nn::quantize_network(net, gaussian_batch(64, 10, 60));
   const Tensor x = gaussian_batch(4, 10, 61);
   const Tensor orig = net.predict(x);
 
@@ -351,9 +340,7 @@ TEST(QuantizedNetwork, CopyCarriesQuantizedPayload) {
 // from the OLD weights. Any mutable weight access must drop the payload.
 TEST(QuantizedNetwork, LoadWeightsInvalidatesStaleInt8Payload) {
   nn::Network net = small_net(71);
-  nn::QuantizationOptions opts;
-  opts.probe_kernels = false;
-  nn::quantize_network(net, gaussian_batch(64, 10, 72), opts);
+  nn::quantize_network(net, gaussian_batch(64, 10, 72));
   ASSERT_EQ(net.precision(), nn::Precision::kInt8);
 
   // A same-architecture network with different weights (the registry's
@@ -365,7 +352,7 @@ TEST(QuantizedNetwork, LoadWeightsInvalidatesStaleInt8Payload) {
 
   // No retained calibration: the net must fall back to fp32 — never serve
   // old-weight codes — and track the donor's outputs bitwise.
-  EXPECT_EQ(net.precision(), nn::Precision::kFp32);
+  EXPECT_EQ(net.precision(), nn::Precision::kFp64);
   const Tensor x = gaussian_batch(8, 10, 74);
   const Tensor got = net.predict(x);
   const Tensor want = donor.predict(x);
@@ -377,7 +364,6 @@ TEST(QuantizedNetwork, LoadWeightsInvalidatesStaleInt8Payload) {
 TEST(QuantizedNetwork, LoadWeightsAutoRequantizesWithRetainedCalibration) {
   const Tensor calib = gaussian_batch(64, 10, 76);
   nn::QuantizationOptions opts;
-  opts.probe_kernels = false;
   opts.retain_calibration = true;
 
   nn::Network net = small_net(75);
@@ -405,23 +391,19 @@ TEST(QuantizedNetwork, MutableWeightAccessDropsPayloadAndBumpsGeneration) {
   ASSERT_NE(dense, nullptr);
   const std::uint64_t gen0 = dense->weights_generation();
 
-  nn::QuantizationOptions opts;
-  opts.probe_kernels = false;
-  nn::quantize_network(net, gaussian_batch(64, 10, 80), opts);
+  nn::quantize_network(net, gaussian_batch(64, 10, 80));
   ASSERT_TRUE(dense->has_quantized());
 
   dense->mutable_weights()[0] += 0.5;
   EXPECT_FALSE(dense->has_quantized());
-  EXPECT_EQ(dense->precision(), nn::Precision::kFp32);
+  EXPECT_EQ(dense->precision(), nn::Precision::kFp64);
   EXPECT_GT(dense->weights_generation(), gen0);
 }
 
 // Saving is a read-only walk: it must not perturb the quantized payloads.
 TEST(QuantizedNetwork, SaveWeightsKeepsServingQuantized) {
   nn::Network net = small_net(81);
-  nn::QuantizationOptions opts;
-  opts.probe_kernels = false;
-  nn::quantize_network(net, gaussian_batch(64, 10, 82), opts);
+  nn::quantize_network(net, gaussian_batch(64, 10, 82));
   const Tensor x = gaussian_batch(4, 10, 83);
   const Tensor before = net.predict(x);
 
@@ -435,9 +417,7 @@ TEST(QuantizedNetwork, SaveWeightsKeepsServingQuantized) {
 
 TEST(QuantizedNetwork, TrainingDropsToFp32MasterWeights) {
   nn::Network net = small_net(67);
-  nn::QuantizationOptions opts;
-  opts.probe_kernels = false;
-  nn::quantize_network(net, gaussian_batch(64, 10, 68), opts);
+  nn::quantize_network(net, gaussian_batch(64, 10, 68));
 
   nn::Dataset data;
   data.x = gaussian_batch(32, 10, 69);
@@ -446,7 +426,7 @@ TEST(QuantizedNetwork, TrainingDropsToFp32MasterWeights) {
   topt.epochs = 2;
   // Must not trip the int8-cannot-train guard: train_surrogate forces fp32.
   const nn::TrainedSurrogate ts = nn::train_surrogate(net, data, topt);
-  EXPECT_EQ(ts.net.precision(), nn::Precision::kFp32);
+  EXPECT_EQ(ts.net.precision(), nn::Precision::kFp64);
   EXPECT_GT(ts.result.epochs_run, 0u);
 }
 
@@ -460,7 +440,6 @@ TEST(NasPrecision, EvaluateCandidatePicksInt8WhenFeasible) {
   task.quality_bound = 0.1;
   task.train.epochs = 2;
   task.search_precision = true;
-  task.quant.probe_kernels = false;
 
   nn::TopologySpec spec;
   spec.num_layers = 1;
@@ -483,15 +462,14 @@ TEST(NasPrecision, StaysFp32WhenQuantizedInfeasible) {
   task.quality_bound = 0.1;
   task.train.epochs = 2;
   task.search_precision = true;
-  task.quant.probe_kernels = false;
 
   nn::TopologySpec spec;
   spec.num_layers = 1;
   spec.hidden_units = 8;
   const nas::PipelineModel pm =
       nas::evaluate_candidate(task, spec, nullptr, task.data, Rng(76));
-  EXPECT_EQ(pm.precision, nn::Precision::kFp32);
-  EXPECT_EQ(pm.surrogate.net.precision(), nn::Precision::kFp32);
+  EXPECT_EQ(pm.precision, nn::Precision::kFp64);
+  EXPECT_EQ(pm.surrogate.net.precision(), nn::Precision::kFp64);
 }
 
 TEST(NasPrecision, TrainFnEmitsQuantizedCandidate) {
@@ -500,9 +478,7 @@ TEST(NasPrecision, TrainFnEmitsQuantizedCandidate) {
   data.y = gaussian_batch(40, 2, 78);
   nn::TrainOptions topt;
   topt.epochs = 2;
-  nn::QuantizationOptions qopts;
-  qopts.probe_kernels = false;
-  const auto train_fn = nas::make_precision_train_fn(topt, qopts, /*quality_bound=*/10.0);
+  const auto train_fn = nas::make_precision_train_fn(topt, {}, /*quality_bound=*/10.0);
 
   nn::TrainedSurrogate active = nn::train_surrogate(small_net(79, 6, 2), data, topt);
   const nn::TrainedSurrogate cand = train_fn(active, data);
@@ -585,10 +561,8 @@ TEST(QuantizedRollout, CalibratedCandidatePromotes) {
   Rng rng(89);
   Tensor calib({64, kIn});
   for (std::size_t i = 0; i < calib.size(); ++i) calib[i] = rng.uniform(-1.0, 1.0);
-  nn::QuantizationOptions qopts;
-  qopts.probe_kernels = false;
   auto cand = std::make_shared<runtime::ServableModel>(
-      runtime::quantized_servable(*exact_model(), calib, qopts));
+      runtime::quantized_servable(*exact_model(), calib));
   ASSERT_EQ(cand->surrogate.net.precision(), nn::Precision::kInt8);
 
   const std::uint64_t v2 = orc.install_candidate("m", cand, nullptr, "quantize");
@@ -612,12 +586,10 @@ TEST(QuantizedRollout, MisCalibratedCandidateRollsBack) {
   // Deliberately mis-calibrated: activation scale 1000x too large crushes
   // every input to the zero code, so outputs are garbage.
   auto bad = std::make_shared<runtime::ServableModel>(*exact_model());
-  nn::QuantizationOptions qopts;
-  qopts.probe_kernels = false;
   auto* dense = dynamic_cast<nn::DenseLayer*>(&bad->surrogate.net.layer(0));
   ASSERT_NE(dense, nullptr);
-  dense->set_quantized(nn::build_quantized_dense(
-      dense->weights(), quant::QuantParams{1000.0, 0}, qopts));
+  dense->set_quantized(
+      nn::build_quantized_dense(dense->weights(), quant::QuantParams{1000.0, 0}));
 
   const std::uint64_t v2 = orc.install_candidate("m", bad, nullptr, "quantize");
   ASSERT_TRUE(orc.begin_rollout("m", v2, tiny_rollout()).is_ok());
@@ -630,7 +602,7 @@ TEST(QuantizedRollout, MisCalibratedCandidateRollsBack) {
   EXPECT_EQ(snap->state, runtime::RolloutState::kRolledBack);
   EXPECT_EQ(orc.registry().active_id("m"), 1u);
   EXPECT_EQ(orc.active_model("m")->model->surrogate.net.precision(),
-            nn::Precision::kFp32);
+            nn::Precision::kFp64);
 }
 
 // DeploymentPackage::build(..., QuantizeSpec) calibrates inside packaging.
@@ -641,7 +613,6 @@ TEST(QuantizedRollout, DeploymentPackageQuantizesInsideBuild) {
 
   runtime::QuantizeSpec spec;
   spec.enabled = true;
-  spec.options.probe_kernels = false;
   const runtime::DeploymentPackage pkg = runtime::DeploymentPackage::build(
       "m", *exact_model(), training, spec);
   ASSERT_NE(pkg.model, nullptr);

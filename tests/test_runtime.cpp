@@ -135,6 +135,39 @@ TEST(Orchestrator, RunModelListing1Flow) {
   EXPECT_EQ(phases.seconds("encode"), 0.0);  // no encoder in this model
 }
 
+// Regression: the keyed-store path used to store surrogate rows without the
+// QoI guard. A rejected row must be replaced by the fallback's row (and
+// counted), or fail with kQoIRejected when there is no fallback.
+TEST(Orchestrator, RunModelAppliesQoIGuard) {
+  auto model = tiny_model();
+  model->qoi_check = [](const Tensor&, const Tensor&) { return false; };
+  model->fallback = [](const Tensor& in) {
+    Tensor out({1, 2});
+    out[0] = in[0] + 100.0;
+    out[1] = in[1] + 100.0;
+    return out;
+  };
+  Orchestrator orc;
+  orc.set_model("m", model);
+  orc.put_tensor("in", Tensor({2, 4}, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}));
+  ASSERT_TRUE(orc.run_model("m", "in", "out").is_ok());
+  const Tensor out = orc.get_tensor("out");
+  ASSERT_EQ(out.rows(), 2u);
+  EXPECT_EQ(out.at(0, 0), 0.1 + 100.0);
+  EXPECT_EQ(out.at(0, 1), 0.2 + 100.0);
+  EXPECT_EQ(out.at(1, 0), 0.5 + 100.0);
+  EXPECT_EQ(out.at(1, 1), 0.6 + 100.0);
+  EXPECT_EQ(orc.stats().qoi_fallbacks(), 2u);
+
+  auto strict = tiny_model();
+  strict->qoi_check = [](const Tensor&, const Tensor&) { return false; };
+  Orchestrator no_fallback;
+  no_fallback.set_model("m", strict);
+  no_fallback.put_tensor("in", Tensor({1, 4}, {0.1, 0.2, 0.3, 0.4}));
+  EXPECT_EQ(no_fallback.run_model("m", "in", "out").code(), StatusCode::kQoIRejected);
+  EXPECT_FALSE(no_fallback.has_tensor("out"));
+}
+
 TEST(Orchestrator, UnknownModelReportsModelUnavailable) {
   Orchestrator orc;
   orc.put_tensor("x", Tensor({1, 1}, {1}));
